@@ -80,7 +80,7 @@ sweep-parallel:
 # benchmark still builds and runs, so a refactor cannot silently orphan
 # the benchmark suite.
 bench-short:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/pheap ./internal/bisect ./internal/service .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/pheap ./internal/bisect ./internal/graph ./internal/service .
 
 # Documentation lint: gofmt, vet, and scripts/docs_lint.sh (every
 # results/*.txt and BENCH_*.json mentioned in the docs exists; every

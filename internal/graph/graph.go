@@ -97,8 +97,6 @@ func FromNets(nv int, vw []int64, netPins [][]int32, nw []int64) (*Hypergraph, e
 	h := &Hypergraph{
 		vwgt:  make([]int64, nv),
 		nwgt:  make([]int64, len(netPins)),
-		xpins: make([]int32, nv+1),
-		pins:  make([]int32, 0, totalPins),
 		xnets: make([]int32, len(netPins)+1),
 		nets:  make([]int32, 0, totalPins),
 	}
@@ -111,12 +109,7 @@ func FromNets(nv int, vw []int64, netPins [][]int32, nw []int64) (*Hypergraph, e
 			return nil, fmt.Errorf("%w: vertex %d weight %d outside [1, %d]", ErrFormat, v, w, int64(MaxVertexWeight))
 		}
 		h.vwgt[v] = w
-		h.total += w
-		if w > h.wmax {
-			h.wmax = w
-		}
 	}
-	deg := make([]int32, nv)
 	seen := make([]int32, nv) // seen[v] = net index + 1 that last used v
 	for n, p := range netPins {
 		w := int64(1)
@@ -135,24 +128,11 @@ func FromNets(nv int, vw []int64, netPins [][]int32, nw []int64) (*Hypergraph, e
 				return nil, fmt.Errorf("%w: net %d lists vertex %d twice", ErrFormat, n, v)
 			}
 			seen[v] = int32(n) + 1
-			deg[v]++
 			h.nets = append(h.nets, v)
 		}
 		h.xnets[n+1] = int32(len(h.nets))
 	}
-	// Vertex → nets CSR from degree counts.
-	for v := 0; v < nv; v++ {
-		h.xpins[v+1] = h.xpins[v] + deg[v]
-	}
-	h.pins = h.pins[:totalPins]
-	fill := make([]int32, nv)
-	copy(fill, h.xpins[:nv])
-	for n := 0; n < len(netPins); n++ {
-		for _, v := range h.nets[h.xnets[n]:h.xnets[n+1]] {
-			h.pins[fill[v]] = int32(n)
-			fill[v]++
-		}
-	}
+	h.finish()
 	return h, nil
 }
 
@@ -182,6 +162,37 @@ func FromEdges(nv int, vw []int64, edges []Edge) (*Hypergraph, error) {
 	return FromNets(nv, vw, netPins, nw)
 }
 
+// finish derives the remaining fields from vwgt and the net → vertex
+// CSR (xnets, nets): the weight total and maximum, and the vertex → net
+// CSR (xpins, pins) by one transpose, each vertex listing its nets in
+// ascending order. Every constructor ends here.
+func (h *Hypergraph) finish() {
+	nv := len(h.vwgt)
+	h.total, h.wmax = 0, 0
+	for _, w := range h.vwgt {
+		h.total += w
+		if w > h.wmax {
+			h.wmax = w
+		}
+	}
+	h.xpins = make([]int32, nv+1)
+	for _, v := range h.nets {
+		h.xpins[v+1]++
+	}
+	for v := 0; v < nv; v++ {
+		h.xpins[v+1] += h.xpins[v]
+	}
+	h.pins = make([]int32, len(h.nets))
+	fill := make([]int32, nv)
+	copy(fill, h.xpins[:nv])
+	for n := 0; n < len(h.nwgt); n++ {
+		for _, v := range h.nets[h.xnets[n]:h.xnets[n+1]] {
+			h.pins[fill[v]] = int32(n)
+			fill[v]++
+		}
+	}
+}
+
 // induce materialises the sub-hypergraph on the vertices with side[v] == s,
 // keeping original relative vertex order. Nets are restricted to their
 // surviving pins; nets left with fewer than two pins are dropped — they
@@ -197,21 +208,12 @@ func (h *Hypergraph) induce(side []uint8, s uint8) *Hypergraph {
 			remap[v] = -1
 		}
 	}
-	sub := &Hypergraph{
-		vwgt:  make([]int64, 0, nv),
-		xpins: make([]int32, nv+1),
-	}
+	sub := &Hypergraph{vwgt: make([]int64, 0, nv), xnets: []int32{0}}
 	for v, w := range h.vwgt {
 		if side[v] == s {
 			sub.vwgt = append(sub.vwgt, w)
-			sub.total += w
-			if w > sub.wmax {
-				sub.wmax = w
-			}
 		}
 	}
-	deg := make([]int32, nv)
-	sub.xnets = append(sub.xnets, 0)
 	for n := 0; n < h.NumNets(); n++ {
 		cnt := 0
 		for _, v := range h.nets[h.xnets[n]:h.xnets[n+1]] {
@@ -225,23 +227,11 @@ func (h *Hypergraph) induce(side []uint8, s uint8) *Hypergraph {
 		for _, v := range h.nets[h.xnets[n]:h.xnets[n+1]] {
 			if side[v] == s {
 				sub.nets = append(sub.nets, remap[v])
-				deg[remap[v]]++
 			}
 		}
 		sub.nwgt = append(sub.nwgt, h.nwgt[n])
 		sub.xnets = append(sub.xnets, int32(len(sub.nets)))
 	}
-	for v := 0; v < nv; v++ {
-		sub.xpins[v+1] = sub.xpins[v] + deg[v]
-	}
-	sub.pins = make([]int32, len(sub.nets))
-	fill := make([]int32, nv)
-	copy(fill, sub.xpins[:nv])
-	for n := 0; n < sub.NumNets(); n++ {
-		for _, v := range sub.nets[sub.xnets[n]:sub.xnets[n+1]] {
-			sub.pins[fill[v]] = int32(n)
-			fill[v]++
-		}
-	}
+	sub.finish()
 	return sub
 }

@@ -57,8 +57,9 @@ func bisectSides(h *Hypergraph, hiCap int64, seed uint64) []uint8 {
 		cur = coarse
 	}
 
+	sc := newFMScratch(h.NumVertices(), h.NumNets())
 	side := initialLPT(cur, hiCap)
-	refine(cur, side, hiCap)
+	refine(cur, side, hiCap, sc)
 	for i := len(levels) - 2; i >= 0; i-- {
 		fine := levels[i]
 		fineSide := make([]uint8, fine.h.NumVertices())
@@ -66,7 +67,7 @@ func bisectSides(h *Hypergraph, hiCap int64, seed uint64) []uint8 {
 			fineSide[v] = side[fine.cmap[v]]
 		}
 		side = fineSide
-		refine(fine.h, side, hiCap)
+		refine(fine.h, side, hiCap, sc)
 	}
 	return side
 }
@@ -149,38 +150,36 @@ func heavyConnectionMatch(h *Hypergraph, mergeCap int64, rng *xrand.Source) ([]i
 // contract builds the coarse hypergraph: vertex weights sum over groups,
 // net pins map through cmap with duplicates removed, and nets left with
 // fewer than two distinct coarse pins vanish (they can never be cut).
+// The parent is valid, so the coarse CSR is written directly, without
+// FromNets' re-validation.
 func contract(h *Hypergraph, cmap []int32, cnv int) *Hypergraph {
-	vw := make([]int64, cnv)
-	for v, c := range cmap {
-		vw[c] += h.vwgt[v]
+	c := &Hypergraph{
+		vwgt:  make([]int64, cnv),
+		nwgt:  make([]int64, 0, h.NumNets()),
+		xnets: make([]int32, 1, h.NumNets()+1),
+		nets:  make([]int32, 0, h.NumPins()),
 	}
-	var netPins [][]int32
-	var nw []int64
-	seen := make([]int32, cnv)
-	for i := range seen {
-		seen[i] = -1
+	for v, cv := range cmap {
+		c.vwgt[cv] += h.vwgt[v]
 	}
+	seen := make([]int32, cnv) // seen[c] = net index + 1 that last used c
 	for n := 0; n < h.NumNets(); n++ {
-		var pins []int32
+		start := len(c.nets)
 		for _, v := range h.nets[h.xnets[n]:h.xnets[n+1]] {
-			c := cmap[v]
-			if seen[c] != int32(n) {
-				seen[c] = int32(n)
-				pins = append(pins, c)
+			if cv := cmap[v]; seen[cv] != int32(n)+1 {
+				seen[cv] = int32(n) + 1
+				c.nets = append(c.nets, cv)
 			}
 		}
-		if len(pins) >= 2 {
-			netPins = append(netPins, pins)
-			nw = append(nw, h.nwgt[n])
+		if len(c.nets)-start < 2 {
+			c.nets = c.nets[:start]
+			continue
 		}
+		c.nwgt = append(c.nwgt, h.nwgt[n])
+		c.xnets = append(c.xnets, int32(len(c.nets)))
 	}
-	coarse, err := FromNets(cnv, vw, netPins, nw)
-	if err != nil {
-		// All inputs come from a validated parent; a failure here is a
-		// programmer error, not bad input.
-		panic("graph: contract produced invalid hypergraph: " + err.Error())
-	}
-	return coarse
+	c.finish()
+	return c
 }
 
 // initialLPT seeds the coarsest bisection: vertices sorted by weight
@@ -260,35 +259,101 @@ func repair(h *Hypergraph, side []uint8, hiCap int64) {
 	}
 }
 
+// gainEntry is one move candidate in a side's heap. It is stale once
+// its vertex is locked or its gain has changed since the push (ver no
+// longer matches); a vertex changes side only by moving, which locks it.
+type gainEntry struct {
+	gain int64
+	v    int32
+	ver  uint32
+}
+
+// before is the move order: larger gain first, smaller index on ties.
+func (a gainEntry) before(b gainEntry) bool {
+	return a.gain > b.gain || (a.gain == b.gain && a.v < b.v)
+}
+
+// gainHeap is a binary max-heap of gainEntry in move order.
+type gainHeap []gainEntry
+
+func (q *gainHeap) push(e gainEntry) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (q *gainHeap) pop() gainEntry {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
+}
+
+// fmScratch is refine's working memory, sized once for the finest level
+// of a bisectSides call and reused at every level.
+type fmScratch struct {
+	cnt    [][2]int32 // per net: pins on side 0 and side 1
+	gain   []int64    // per vertex: cut-weight decrease if it moved now
+	ver    []uint32   // per vertex: bumped whenever gain changes
+	locked []bool
+	heap   [2]gainHeap // per side: candidates to move off that side
+	skip   []gainEntry // band-breaking tops set aside during one selection
+}
+
+func newFMScratch(nv, nn int) *fmScratch {
+	return &fmScratch{
+		cnt:    make([][2]int32, nn),
+		gain:   make([]int64, nv),
+		ver:    make([]uint32, nv),
+		locked: make([]bool, nv),
+		heap:   [2]gainHeap{make(gainHeap, 0, nv), make(gainHeap, 0, nv)},
+	}
+}
+
 // refine runs bounded greedy boundary-FM passes: repeatedly move the
-// boundary vertex with the best positive cut gain whose move keeps both
-// sides inside the band, locking each moved vertex for the rest of the
-// pass. Only strictly improving moves are taken, so the cut decreases
-// monotonically and the loop terminates.
-func refine(h *Hypergraph, side []uint8, hiCap int64) {
+// unlocked vertex with the largest positive cut gain (smallest index on
+// ties) whose move keeps both sides inside the band, locking each moved
+// vertex for the rest of the pass. A positive gain implies a cut net, so
+// only boundary vertices ever move. Only strictly improving moves are
+// taken, so the cut decreases monotonically and the loop terminates.
+//
+// Gains are maintained, not rescanned: each pass computes every gain
+// once, and a move recomputes only the pins of the moved vertex's nets.
+// Candidates wait in one lazy max-heap per side; stale entries are
+// dropped when they surface, and band-breaking tops are set aside and
+// pushed back after the selection.
+func refine(h *Hypergraph, side []uint8, hiCap int64, sc *fmScratch) {
 	nv := h.NumVertices()
 	nn := h.NumNets()
 	if nv == 0 || nn == 0 {
 		return
 	}
-	lo := h.total - hiCap
-	cnt := make([][2]int32, nn)
-	var w [2]int64
-	recount := func() {
-		for n := range cnt {
-			cnt[n] = [2]int32{}
-		}
-		w = [2]int64{}
-		for v := 0; v < nv; v++ {
-			w[side[v]] += h.vwgt[v]
-		}
-		for n := 0; n < nn; n++ {
-			for _, v := range h.nets[h.xnets[n]:h.xnets[n+1]] {
-				cnt[n][side[v]]++
-			}
-		}
-	}
-	gain := func(v int32) int64 {
+	cnt, gain, ver, locked := sc.cnt[:nn], sc.gain[:nv], sc.ver[:nv], sc.locked[:nv]
+	gainOf := func(v int32) int64 {
 		s := side[v]
 		var g int64
 		for _, n := range h.pins[h.xpins[v]:h.xpins[v+1]] {
@@ -301,46 +366,84 @@ func refine(h *Hypergraph, side []uint8, hiCap int64) {
 		}
 		return g
 	}
-	locked := make([]bool, nv)
 	for pass := 0; pass < fmPasses; pass++ {
-		recount()
-		for i := range locked {
-			locked[i] = false
+		clear(cnt)
+		var w [2]int64
+		for v := 0; v < nv; v++ {
+			w[side[v]] += h.vwgt[v]
+		}
+		for n := 0; n < nn; n++ {
+			for _, v := range h.nets[h.xnets[n]:h.xnets[n+1]] {
+				cnt[n][side[v]]++
+			}
+		}
+		sc.heap[0], sc.heap[1] = sc.heap[0][:0], sc.heap[1][:0]
+		for v := int32(0); v < int32(nv); v++ {
+			locked[v], ver[v] = false, 0
+			if gain[v] = gainOf(v); gain[v] > 0 {
+				sc.heap[side[v]].push(gainEntry{gain[v], v, 0})
+			}
 		}
 		improved := false
-		for moves := 0; moves < nv; moves++ {
-			best := int32(-1)
-			var bestGain int64
-			for n := 0; n < nn; n++ {
-				if cnt[n][0] == 0 || cnt[n][1] == 0 {
-					continue // uncut net: its pins may still be boundary via other nets
+		for {
+			// A move off side s keeps both sides in band iff the vertex
+			// fits the room left on the other side: w[s]−vw ≥ total−hiCap
+			// and w[1−s]+vw ≤ hiCap are the same inequality.
+			var cand [2]gainEntry
+			for s := range sc.heap {
+				room := hiCap - w[1-s]
+				if room < 1 {
+					continue // vertex weights are ≥ 1
 				}
-				for _, v := range h.nets[h.xnets[n]:h.xnets[n+1]] {
-					if locked[v] {
-						continue
-					}
-					s := side[v]
-					if w[s]-h.vwgt[v] < lo || w[1-s]+h.vwgt[v] > hiCap {
-						continue
-					}
-					if g := gain(v); g > bestGain || (g == bestGain && g > 0 && (best == -1 || v < best)) {
-						best, bestGain = v, g
+				q := &sc.heap[s]
+				for len(*q) > 0 {
+					e := (*q)[0]
+					if locked[e.v] || e.ver != ver[e.v] {
+						q.pop()
+					} else if h.vwgt[e.v] > room {
+						sc.skip = append(sc.skip, q.pop())
+					} else {
+						cand[s] = e
+						break
 					}
 				}
+				for _, e := range sc.skip {
+					q.push(e)
+				}
+				sc.skip = sc.skip[:0]
 			}
-			if best == -1 || bestGain <= 0 {
+			best := cand[0] // an empty candidate has gain 0 and loses
+			if cand[1].before(best) {
+				best = cand[1]
+			}
+			if best.gain == 0 {
 				break
 			}
-			s := side[best]
-			for _, n := range h.pins[h.xpins[best]:h.xpins[best+1]] {
+			b := best.v
+			s := side[b]
+			for _, n := range h.pins[h.xpins[b]:h.xpins[b+1]] {
 				cnt[n][s]--
 				cnt[n][1-s]++
 			}
-			w[s] -= h.vwgt[best]
-			w[1-s] += h.vwgt[best]
-			side[best] = 1 - s
-			locked[best] = true
+			w[s] -= h.vwgt[b]
+			w[1-s] += h.vwgt[b]
+			side[b] = 1 - s
+			locked[b] = true
 			improved = true
+			for _, n := range h.pins[h.xpins[b]:h.xpins[b+1]] {
+				for _, u := range h.nets[h.xnets[n]:h.xnets[n+1]] {
+					if locked[u] {
+						continue
+					}
+					if g := gainOf(u); g != gain[u] {
+						gain[u] = g
+						ver[u]++
+						if g > 0 {
+							sc.heap[side[u]].push(gainEntry{g, u, ver[u]})
+						}
+					}
+				}
+			}
 		}
 		if !improved {
 			break
