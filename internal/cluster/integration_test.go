@@ -165,6 +165,45 @@ func TestClusterExactlyOncePlanning(t *testing.T) {
 	}
 }
 
+// TestClusterBatchPlannedAtOwner: a batch item goes through the same
+// get-or-fill as a /v1/balance request, so the same batch sent to every
+// node in turn is planned once cluster-wide — at the key's ring owner,
+// with the other nodes proxying to it — and later single requests for
+// the key plan nothing.
+func TestClusterBatchPlannedAtOwner(t *testing.T) {
+	nodes := startClusterNodes(t, 3)
+	body := balanceBody(77, 64)
+	batch := []byte(`{"items":[` + string(body) + `]}`)
+	for i, n := range nodes {
+		resp, err := http.Post(n.url+"/v1/balance:batch", "application/json", bytes.NewReader(batch))
+		if err != nil {
+			t.Fatalf("node %d batch: %v", i, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var br service.BatchResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &br) != nil ||
+			len(br.Items) != 1 || br.Items[0].Plan == nil {
+			t.Fatalf("node %d batch: status %d body %s", i, resp.StatusCode, raw)
+		}
+	}
+	for i, n := range nodes {
+		if code, respBody, err := postBalance(n.url, body); err != nil || code != http.StatusOK {
+			t.Fatalf("node %d balance: code=%d err=%v body=%s", i, code, err, respBody)
+		}
+	}
+	if total := plansComputedTotal(nodes); total != 1 {
+		t.Fatalf("cluster computed the batch item %d times, want exactly 1", total)
+	}
+	var proxied int64
+	for _, n := range nodes {
+		proxied += n.srv.Registry().Counter("service.cluster.proxied").Value()
+	}
+	if proxied < 1 {
+		t.Fatal("no batch item was proxied to its owner")
+	}
+}
+
 // TestClusterDistinctKeysSpreadOwnership sanity-checks the sharding:
 // many distinct keys driven through one node are computed across the
 // cluster (remote fills happen), and each key exactly once.

@@ -59,19 +59,11 @@ const (
 
 // newAdmission builds the controller, or returns nil (a nil controller
 // admits everything) when no target is configured. h must be the
-// histogram the server records admitted-request latency into.
+// histogram the server records admitted-request latency into; the other
+// parameters arrive defaulted by Config.withDefaults.
 func newAdmission(target time.Duration, tolerance float64, tick time.Duration, epochs int, h *obs.Histogram, reg *obs.Registry) *admission {
 	if target <= 0 {
 		return nil
-	}
-	if tolerance <= 0 {
-		tolerance = 1
-	}
-	if tick <= 0 {
-		tick = 250 * time.Millisecond
-	}
-	if epochs < 1 {
-		epochs = 8
 	}
 	a := &admission{
 		// The windowed p99 is reported as a power-of-two bucket upper

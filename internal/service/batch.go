@@ -1,28 +1,28 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
-
-	"bisectlb"
 )
 
-// POST /v1/balance:batch plans many specs in one request. The point is
-// amortisation, not intra-batch parallelism: the batch pays admission
-// control (one queue slot), body decoding and response encoding once,
-// performs one cache lookup per item, dedups identical specs within the
-// batch, and then computes all remaining misses back to back on a single
-// worker with one pooled planner whose buffers stay warm. Callers that
-// want plans computed in parallel should issue separate requests.
+// POST /v1/balance:batch plans many specs in one request. It is a
+// fan-out over the request pipeline (pipeline.go), not a second serve
+// path: the batch is decoded once, each item is checked and keyed on its
+// own (one cache lookup per item), identical items are deduped within
+// the batch, and the batch pays one tenant token and one SLO draw. Its
+// distinct misses then go through get-or-fill one at a time, in
+// first-seen order, so each coalesces with identical in-flight requests
+// and, in cluster mode, is planned at its key's ring owner — a key is
+// planned once whichever endpoint asks for it. The batch holds at most
+// one queue slot at a time; callers that want plans computed in
+// parallel should issue separate requests.
 //
 // Failure semantics are per item: a malformed spec or a facade rejection
 // marks only that item with the same error code a single request would
 // have received, while the rest of the batch proceeds. Only batch-level
-// problems — bad JSON, an empty or oversized batch, admission rejection,
-// the batch deadline expiring — fail the whole request.
+// problems — bad JSON, an empty or oversized batch, admission rejection
+// (token, SLO shed, a full queue), draining, the batch deadline
+// expiring — fail the whole request.
 
 // BatchRequest is the body of POST /v1/balance:batch.
 type BatchRequest struct {
@@ -58,70 +58,44 @@ type BatchItem struct {
 // BatchResponse is the body of a 200 batch response.
 type BatchResponse struct {
 	Items []BatchItem `json:"items"`
-	// Computed counts distinct plans computed for this batch; CacheHits
-	// and Deduped count items served without computing.
+	// Computed counts the distinct misses filled for this batch (planned
+	// here, coalesced onto an identical in-flight plan, or planned by the
+	// key's owner); CacheHits counts items served from a plan cache,
+	// this node's or the owner's, and Deduped counts items that reused an
+	// earlier item's plan.
 	Computed  int `json:"computed"`
 	CacheHits int `json:"cache_hits"`
 	Deduped   int `json:"deduped"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(mRequests).Inc()
-	s.reg.Gauge(mInflight).Add(1)
-	defer s.reg.Gauge(mInflight).Add(-1)
 	start := time.Now()
-	defer s.reg.Histogram(mLatencyNs).ObserveSince(start)
-
-	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if s.draining.Load() {
-		s.reg.Counter(mRejectedDraining).Inc()
-		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-
 	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
-		return
+	err := s.decode(w, r, &req)
+	switch {
+	case err != nil:
+	case len(req.Items) == 0:
+		err = badRequest("empty_batch", "batch has no items")
+	case len(req.Items) > s.cfg.MaxBatchItems:
+		err = badRequest("batch_too_large", "batch exceeds the server's max_batch_items limit")
+	case req.DeadlineMS < 0:
+		err = badRequest("bad_request", "deadline_ms must be ≥ 0")
 	}
-	if len(req.Items) == 0 {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "empty_batch", "batch has no items")
-		return
-	}
-	if len(req.Items) > s.cfg.MaxBatchItems {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "batch_too_large",
-			"batch exceeds the server's max_batch_items limit")
-		return
-	}
-	if req.DeadlineMS < 0 {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_request", "deadline_ms must be ≥ 0")
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
 	s.reg.Counter(mBatchRequests).Inc()
 	s.reg.Counter(mBatchItems).Add(int64(len(req.Items)))
-	tn := s.tenants.state(tenantID(r, s.cfg.TenantHeader, req.Tenant))
-	tn.requests.Inc()
+	tn := s.tenant(r, req.Tenant)
 
 	resp := BatchResponse{Items: make([]BatchItem, len(req.Items))}
-	// miss holds one entry per distinct uncached key, in first-seen order;
-	// missIdx maps a key to its position in miss so later identical items
-	// attach to the earlier computation.
+	// miss holds one fill per distinct uncached key, in first-seen order,
+	// with the items it serves; missIdx maps a key to its position in
+	// miss so later identical items attach to the earlier fill.
 	type missEntry struct {
-		req   *BalanceRequest
-		alg   bisectlb.Algorithm
-		key   string
+		f     *fill
 		items []int
-		plan  *Plan
-		err   error
 	}
 	var miss []*missEntry
 	missIdx := make(map[string]int)
@@ -130,22 +104,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	keyBytes := (*kb)[:0]
 	for i := range req.Items {
 		item := &req.Items[i]
-		item.normalize()
-		if err := item.validate(); err != nil {
-			s.reg.Counter(mBadRequest).Inc()
-			resp.Items[i].Error = &BatchItemError{Code: "bad_spec", Message: err.Error()}
-			continue
-		}
-		if item.N > s.cfg.MaxN {
-			s.reg.Counter(mBadRequest).Inc()
-			resp.Items[i].Error = &BatchItemError{Code: "n_too_large",
-				Message: fmt.Sprintf("n=%d exceeds the server's max_n limit %d", item.N, s.cfg.MaxN)}
-			continue
-		}
-		alg, err := bisectlb.ParseAlgorithm(item.Algorithm)
+		alg, err := s.check(item, nil)
 		if err != nil {
-			s.reg.Counter(mBadRequest).Inc()
-			resp.Items[i].Error = &BatchItemError{Code: "unknown_algorithm", Message: err.Error()}
+			resp.Items[i].Error = s.itemError(err)
 			continue
 		}
 		keyBytes = item.appendKey(keyBytes[:0])
@@ -160,67 +121,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		missIdx[key] = len(miss)
-		miss = append(miss, &missEntry{req: item, alg: alg, key: key, items: []int{i}})
+		f := s.planFill(item, alg, key)
+		f.route = true
+		miss = append(miss, &missEntry{f: f, items: []int{i}})
 	}
 	*kb = keyBytes
 	s.keyBufs.Put(kb)
 
 	if len(miss) > 0 {
-		// The compute path is guarded like a single request's: one token
-		// and one admission draw per batch — the batch occupies one
-		// worker turn regardless of item count.
-		if !s.tenants.allowToken(tn, start) {
-			tn.shed.Inc()
-			s.reg.Counter(mRejectedTenant).Inc()
-			s.reject(w, http.StatusTooManyRequests, "tenant_rate_limited",
-				fmt.Sprintf("tenant %q exceeded its compute rate", tn.id))
+		if err := s.admit(tn, start); err != nil {
+			s.fail(w, err)
 			return
 		}
-		if !s.adm.allow(start) {
-			tn.shed.Inc()
-			s.reg.Counter(mRejectedShed).Inc()
-			s.reject(w, http.StatusTooManyRequests, "slo_shed",
-				"service is over its latency SLO; load is being shed")
-			return
-		}
-		deadline := s.cfg.DefaultDeadline
-		if req.DeadlineMS > 0 {
-			deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), deadline)
+		ctx, cancel := s.withDeadline(r.Context(), req.DeadlineMS)
 		defer cancel()
-
-		rerr := s.pool.RunTenant(ctx, tn.id, tn.weight, func() {
-			if s.cfg.Hooks.PreCompute != nil {
-				s.cfg.Hooks.PreCompute()
-			}
-			for _, m := range miss {
-				m.plan, m.err = computePlan(m.req, m.alg, signature(m.key), s.reg)
-				if m.err == nil {
-					s.cache.Put(m.key, m.plan)
-				}
-			}
-		})
-		if rerr != nil {
-			// Admission or deadline failure is batch-level: no partial
-			// results exist worth returning.
-			s.rejectComputeError(w, rerr)
-			return
-		}
 		for _, m := range miss {
-			if m.err != nil {
-				_, code, metric, msg := classifyComputeError(m.err)
-				s.reg.Counter(metric).Inc()
+			plan, state, _, err := s.getOrFill(ctx, tn, m.f)
+			if err != nil {
+				// Admission, drain and deadline failures are batch-level:
+				// no partial results exist worth returning.
+				if status, _, _, _ := classifyComputeError(err); status == http.StatusTooManyRequests ||
+					status == http.StatusServiceUnavailable {
+					s.fail(w, err)
+					return
+				}
+				ie := s.itemError(err)
 				for _, i := range m.items {
-					resp.Items[i].Error = &BatchItemError{Code: code, Message: msg}
+					resp.Items[i].Error = ie
 				}
 				continue
 			}
-			resp.Computed++
+			if state == "peer-hit" {
+				resp.CacheHits++
+			} else {
+				resp.Computed++
+			}
 			for j, i := range m.items {
-				resp.Items[i].Plan = m.plan
+				resp.Items[i] = BatchItem{Plan: plan, Cached: state == "peer-hit", Deduped: j > 0}
 				if j > 0 {
-					resp.Items[i].Deduped = true
 					resp.Deduped++
 				}
 			}
@@ -229,9 +167,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.reg.Counter(mBatchDeduped).Add(int64(resp.Deduped))
 		}
 	}
+	s.respond(w, tn, start, resp, "")
+}
 
-	s.reg.Counter(mOK).Inc()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-	s.observeAdmitted(tn, start)
+// itemError embeds a rejection in one batch item, charging its counter
+// as a single request would.
+func (s *Server) itemError(err error) *BatchItemError {
+	_, code, metric, msg := classifyComputeError(err)
+	s.reg.Counter(metric).Inc()
+	return &BatchItemError{Code: code, Message: msg}
 }

@@ -66,7 +66,7 @@ func BenchmarkServiceKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = req.appendKey(buf[:0])
-		_ = signatureBytes(buf)
+		_ = signature(buf)
 	}
 }
 

@@ -54,35 +54,24 @@ func newPlanCache(capacity, shards int, reg *obs.Registry) *planCache {
 	return c
 }
 
-// shard selects by inline FNV-1a: the hash/fnv package allocates a hasher
-// per call, which a per-request lookup path cannot afford.
-func (c *planCache) shard(key string) *cacheShard {
-	return &c.shards[fnv64aString(key)&c.mask]
-}
-
 // Get returns the cached plan for key, promoting it to most recently
 // used. Nil-safe: a nil cache always misses.
-func (c *planCache) Get(key string) (*Plan, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[key]
-	if !ok {
-		c.reg.Counter(mCacheMisses).Inc()
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	c.reg.Counter(mCacheHits).Inc()
-	return el.Value.(*cacheEntry).plan, true
-}
+func (c *planCache) Get(key string) (*Plan, bool) { return get(c, key, true) }
 
 // GetBytes is Get for a byte-slice key, avoiding the string conversion on
 // the handler hot path: the map index m[string(key)] compiles to a
 // zero-copy lookup, so a cache hit allocates nothing.
-func (c *planCache) GetBytes(key []byte) (*Plan, bool) {
+func (c *planCache) GetBytes(key []byte) (*Plan, bool) { return get(c, key, true) }
+
+// Peek returns the cached plan for key without promoting it or counting
+// a hit/miss — for observers (replication, snapshots, the fill leader's
+// re-check) whose reads are not client traffic. Nil-safe.
+func (c *planCache) Peek(key string) (*Plan, bool) { return get(c, key, false) }
+
+// get is the one lookup behind Get, GetBytes and Peek. Shards are
+// selected by inline FNV-1a: the hash/fnv package allocates a hasher per
+// call, which a per-request lookup path cannot afford.
+func get[K string | []byte](c *planCache, key K, traffic bool) (*Plan, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -90,12 +79,17 @@ func (c *planCache) GetBytes(key []byte) (*Plan, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.m[string(key)]
+	if traffic {
+		if !ok {
+			c.reg.Counter(mCacheMisses).Inc()
+			return nil, false
+		}
+		s.ll.MoveToFront(el)
+		c.reg.Counter(mCacheHits).Inc()
+	}
 	if !ok {
-		c.reg.Counter(mCacheMisses).Inc()
 		return nil, false
 	}
-	s.ll.MoveToFront(el)
-	c.reg.Counter(mCacheHits).Inc()
 	return el.Value.(*cacheEntry).plan, true
 }
 
@@ -105,7 +99,7 @@ func (c *planCache) Put(key string, plan *Plan) {
 	if c == nil {
 		return
 	}
-	s := c.shard(key)
+	s := &c.shards[fnv64a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
@@ -120,23 +114,6 @@ func (c *planCache) Put(key string, plan *Plan) {
 		delete(s.m, oldest.Value.(*cacheEntry).key)
 		c.reg.Counter(mCacheEvictions).Inc()
 	}
-}
-
-// Peek returns the cached plan for key without promoting it or counting
-// a hit/miss — for observers (replication, snapshots) whose reads are
-// not client traffic. Nil-safe.
-func (c *planCache) Peek(key string) (*Plan, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry).plan, true
 }
 
 // Len returns the total number of cached plans. Nil-safe.

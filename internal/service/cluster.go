@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-
-	"bisectlb"
 )
 
 // PeerCluster is the slice of a cluster node the serving path needs:
@@ -33,33 +31,10 @@ type PeerCluster interface {
 // on the request path). A nil cluster (the default) serves standalone.
 func (s *Server) SetCluster(pc PeerCluster) { s.cluster = pc }
 
-// clusterFetch proxies a miss to the key's remote owner and installs the
-// returned plan in the local cache, so repeat hits on this node stay
-// local. Runs under the caller's singleflight slot, so concurrent local
-// misses on one key cost one peer round trip.
-func (s *Server) clusterFetch(ctx context.Context, pc PeerCluster, key string, hash uint64, req *BalanceRequest) (*Plan, bool, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, false, err
-	}
-	raw, cached, err := pc.Fetch(ctx, key, hash, body)
-	if err != nil {
-		return nil, false, err
-	}
-	var p Plan
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, false, fmt.Errorf("service: owner returned an undecodable plan for %q: %w", key, err)
-	}
-	s.reg.Counter(mClusterProxied).Inc()
-	s.cache.Put(key, &p)
-	s.reg.Counter(mClusterPeerPlans).Inc()
-	return &p, cached, nil
-}
-
 // ClusterFill is the owner-side fill handed to cluster.Config.Fill:
-// serve the plan for key from the local cache, or validate the shipped
-// request body and compute it through the same singleflight + worker
-// pool as a local request — so a storm of proxied misses for one key
+// serve the plan for key from the local cache, or run the shipped
+// request body through the pipeline's decode, check and get-or-fill
+// stages, without routing — so a storm of proxied misses for one key
 // still runs the planner once, and peer traffic respects the pool's
 // admission bounds.
 func (s *Server) ClusterFill(ctx context.Context, key string, body []byte) ([]byte, bool, error) {
@@ -67,44 +42,32 @@ func (s *Server) ClusterFill(ctx context.Context, key string, body []byte) ([]by
 		raw, err := json.Marshal(p)
 		return raw, true, err
 	}
+	var f *fill
 	// Drift keys carry a rebalance body, not a balance body: route them
-	// to the patch path (decoding them as a BalanceRequest would silently
-	// drop the deltas and cache a fresh plan under the drift key).
+	// to the patch (decoding them as a BalanceRequest would silently drop
+	// the deltas and cache a fresh plan under the drift key).
 	if isDriftKey(key) {
-		return s.clusterFillRebalance(ctx, key, body)
-	}
-	var req BalanceRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, false, fmt.Errorf("service: peer fill body: %w", err)
-	}
-	req.normalize()
-	if err := req.validate(); err != nil {
-		return nil, false, err
-	}
-	if req.N > s.cfg.MaxN {
-		return nil, false, fmt.Errorf("service: peer fill n=%d exceeds max_n %d", req.N, s.cfg.MaxN)
-	}
-	alg, err := bisectlb.ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		return nil, false, err
-	}
-	sig := signature(key)
-	plan, _, err := s.sf.Do(ctx, key, func() (*Plan, error) {
-		var (
-			p    *Plan
-			cerr error
-		)
-		rerr := s.pool.Run(ctx, func() {
-			p, cerr = computePlan(&req, alg, sig, s.reg)
-			if cerr == nil {
-				s.cache.Put(key, p)
-			}
-		})
-		if rerr != nil {
-			return nil, rerr
+		var req RebalanceRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, false, fmt.Errorf("service: peer rebalance body: %w", err)
 		}
-		return p, cerr
-	})
+		base, alg, err := s.checkRebalance(&req)
+		if err != nil {
+			return nil, false, err
+		}
+		f = s.rebalanceFill(&req, &base, alg, base.cacheKey(), key)
+	} else {
+		var req BalanceRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, false, fmt.Errorf("service: peer fill body: %w", err)
+		}
+		alg, err := s.check(&req, nil)
+		if err != nil {
+			return nil, false, err
+		}
+		f = s.planFill(&req, alg, key)
+	}
+	plan, _, _, err := s.getOrFill(ctx, nil, f)
 	if err != nil {
 		return nil, false, err
 	}

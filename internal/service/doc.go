@@ -12,11 +12,12 @@
 // rejections and per-request deadlines, and SIGTERM triggers a graceful
 // drain: stop accepting, finish in-flight work, flush metrics.
 //
-// Endpoints:
+// Endpoints, all three plan endpoints adapters over one request
+// pipeline (pipeline.go):
 //
 //	POST /v1/balance        — problem spec + N + algorithm → partition plan
-//	POST /v1/balance:batch  — many specs per request; per-item results,
-//	                          one admission, in-batch dedup (batch.go)
+//	POST /v1/balance:batch  — many specs per request (batch.go)
+//	POST /v1/rebalance      — patch a served plan under drift (rebalance.go)
 //	GET  /healthz           — liveness and drain state
 //	GET  /metricz           — the obs registry (service.* namespace) as JSON
 //

@@ -50,19 +50,23 @@ func FuzzSpecKey(f *testing.F) {
 		if !bytes.HasPrefix(ext, prefix) || !bytes.Equal(ext[len(prefix):], key1) {
 			t.Fatalf("appendKey disturbed the caller's buffer: %q", ext)
 		}
-		if signatureBytes(key1) != signature(string(key1)) {
+		if signature(key1) != signature(string(key1)) {
 			t.Fatalf("signature mismatch: bytes %s, string %s",
-				signatureBytes(key1), signature(string(key1)))
+				signature(key1), signature(string(key1)))
 		}
 	})
 }
 
-// FuzzHandlers throws arbitrary JSON bodies at the two POST endpoints
+// handlerPaths are the POST endpoints FuzzHandlers selects between.
+var handlerPaths = [...]string{"/v1/balance", "/v1/balance:batch", "/v1/rebalance"}
+
+// FuzzHandlers throws arbitrary JSON bodies at the POST endpoints
 // through the real mux and asserts the serving contract: no panic, and
 // every response is either a 200 carrying valid JSON or a typed error
-// envelope with a non-empty code. The server runs with a small MaxN so a
-// fuzzer-crafted n cannot turn one request into unbounded compute — the
-// hardening this target motivated.
+// envelope with a non-empty code. endpoint selects the path, modulo the
+// endpoint count. The server runs with a small MaxN so a fuzzer-crafted
+// n cannot turn one request into unbounded compute — the hardening this
+// target motivated.
 func FuzzHandlers(f *testing.F) {
 	srv := New(Config{Workers: 2, MaxN: 256, DefaultDeadline: time.Second})
 	f.Cleanup(func() {
@@ -72,19 +76,17 @@ func FuzzHandlers(f *testing.F) {
 	})
 	h := srv.Handler()
 
-	f.Add([]byte(`{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":8}`), false)
-	f.Add([]byte(`{"items":[{"spec":{"family":"fixed","split_alpha":0.3},"n":4,"algorithm":"BA"}]}`), true)
-	f.Add([]byte(`{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":1000000000}`), false)
-	f.Add([]byte(`{"spec":{"family":"list","elems":-1,"split_alpha":0.9},"n":0}`), false)
-	f.Add([]byte(`{"items":[]}`), true)
-	f.Add([]byte(`{"unknown_field":true}`), false)
-	f.Add([]byte(`[1,2,3]`), true)
-	f.Add([]byte(`{"spec":{"family":"fem","seed":7},"n":3,"algorithm":"parallel-PHF","alpha":0.2}`), false)
-	f.Fuzz(func(t *testing.T, body []byte, batch bool) {
-		path := "/v1/balance"
-		if batch {
-			path = "/v1/balance:batch"
-		}
+	f.Add([]byte(`{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":8}`), uint8(0))
+	f.Add([]byte(`{"items":[{"spec":{"family":"fixed","split_alpha":0.3},"n":4,"algorithm":"BA"}]}`), uint8(1))
+	f.Add([]byte(`{"spec":{"family":"uniform","lo":0.1,"hi":0.5},"n":1000000000}`), uint8(0))
+	f.Add([]byte(`{"spec":{"family":"list","elems":-1,"split_alpha":0.9},"n":0}`), uint8(0))
+	f.Add([]byte(`{"items":[]}`), uint8(1))
+	f.Add([]byte(`{"unknown_field":true}`), uint8(0))
+	f.Add([]byte(`[1,2,3]`), uint8(1))
+	f.Add([]byte(`{"spec":{"family":"fem","seed":7},"n":3,"algorithm":"parallel-PHF","alpha":0.2}`), uint8(0))
+	f.Add([]byte(`{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":7},"n":4,"alpha":0.1}`), uint8(2))
+	f.Fuzz(func(t *testing.T, body []byte, endpoint uint8) {
+		path := handlerPaths[int(endpoint)%len(handlerPaths)]
 		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -109,24 +111,28 @@ func FuzzHandlers(f *testing.F) {
 
 // TestMaxNRejected pins the admission bound FuzzHandlers relies on: a
 // request whose n exceeds Config.MaxN is rejected with n_too_large
-// before any compute, on both the single and the batch endpoint.
+// before any compute, on the single, rebalance and batch endpoints.
 func TestMaxNRejected(t *testing.T) {
 	srv := New(Config{Workers: 1, MaxN: 100})
 	defer srv.Shutdown(context.Background())
 	h := srv.Handler()
 
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/balance", bytes.NewReader([]byte(
-		`{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":101}`))))
-	if rec.Code != 400 {
-		t.Fatalf("status %d, want 400", rec.Code)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Code != "n_too_large" {
-		t.Fatalf("got %s (err %v), want code n_too_large", rec.Body.Bytes(), err)
+	for path, body := range map[string]string{
+		"/v1/balance":   `{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":101}`,
+		"/v1/rebalance": `{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":101,"alpha":0.1}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader([]byte(body))))
+		if rec.Code != 400 {
+			t.Fatalf("%s: status %d, want 400", path, rec.Code)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Code != "n_too_large" {
+			t.Fatalf("%s: got %s (err %v), want code n_too_large", path, rec.Body.Bytes(), err)
+		}
 	}
 
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/balance:batch", bytes.NewReader([]byte(
 		`{"items":[{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":100},`+
 			`{"spec":{"family":"uniform","lo":0.1,"hi":0.5,"seed":1},"n":101}]}`))))

@@ -110,26 +110,34 @@ const (
 	maxPooledParallelFootprint = 64 << 20
 )
 
-// putPlannerScratch returns sc to the pool unless an oversized request
+// recycle returns a scratch to its pool unless an oversized request
 // ballooned its retained buffers, in which case it is dropped (counted
 // by service.planner_pool.drops) and the next Get builds a fresh one.
-func putPlannerScratch(reg *obs.Registry, sc *plannerScratch) {
-	if cap(sc.plan.Parts) > maxPooledPartsCap || sc.pl.Footprint() > maxPooledFootprint {
+func recycle(reg *obs.Registry, pool *sync.Pool, sc any, oversized bool) {
+	if oversized {
 		reg.Counter(mPlannerPoolDrops).Inc()
 		return
 	}
 	reg.Counter(mPlannerPoolPuts).Inc()
-	plannerPool.Put(sc)
+	pool.Put(sc)
 }
 
-// putParallelScratch is putPlannerScratch for the parallel pool.
+func putPlannerScratch(reg *obs.Registry, sc *plannerScratch) {
+	recycle(reg, &plannerPool, sc, cap(sc.plan.Parts) > maxPooledPartsCap || sc.pl.Footprint() > maxPooledFootprint)
+}
+
 func putParallelScratch(reg *obs.Registry, sc *parallelScratch) {
-	if cap(sc.plan.Parts) > maxPooledPartsCap || sc.pp.Footprint() > maxPooledParallelFootprint {
-		reg.Counter(mPlannerPoolDrops).Inc()
-		return
-	}
-	reg.Counter(mPlannerPoolPuts).Inc()
-	parallelPool.Put(sc)
+	recycle(reg, &parallelPool, sc, cap(sc.plan.Parts) > maxPooledPartsCap || sc.pp.Footprint() > maxPooledParallelFootprint)
+}
+
+// newParallelScratch takes a multicore planner from its pool, configured
+// for this request: a pooled planner keeps whatever the previous request
+// set.
+func newParallelScratch(reg *obs.Registry, useBucket bool) *parallelScratch {
+	sc := parallelPool.Get().(*parallelScratch)
+	sc.pp.SetMetrics(reg)
+	sc.pp.SetBucketQueue(useBucket)
+	return sc
 }
 
 // flatInputs maps a request onto the allocation-free planning facade
@@ -174,38 +182,34 @@ func computePlanFlat(req *BalanceRequest, alg bisectlb.Algorithm, sig string, re
 	useParallel := req.N >= parallelNCutoff &&
 		(alg == bisectlb.BAAlgorithm || alg == bisectlb.BAHFAlgorithm)
 	start := time.Now()
+	var (
+		fp  *bisectlb.Plan
+		err error
+	)
 	if useParallel {
-		sc := parallelPool.Get().(*parallelScratch)
+		sc := newParallelScratch(reg, useBucket)
 		defer putParallelScratch(reg, sc)
-		sc.pp.SetMetrics(reg)
-		sc.pp.SetBucketQueue(useBucket)
-		if err := bisectlb.ParallelBalanceInto(&sc.plan, sc.pp, k, root, req.N, cfg); err != nil {
-			return nil, err
-		}
-		reg.Histogram(mComputeNs).ObserveSince(start)
-		reg.Counter(mPlannerPoolParallel).Inc()
-		plan := servePlan(&sc.plan, req, alg, sig)
-		plan.flat = cloneFlat(&sc.plan)
-		return plan, nil
+		fp, err = &sc.plan, bisectlb.ParallelBalanceInto(&sc.plan, sc.pp, k, root, req.N, cfg)
+	} else {
+		sc := plannerPool.Get().(*plannerScratch)
+		defer putPlannerScratch(reg, sc)
+		sc.pl.SetBucketQueue(useBucket)
+		fp, err = &sc.plan, bisectlb.BalanceInto(&sc.plan, sc.pl, k, root, req.N, cfg)
 	}
-	sc := plannerPool.Get().(*plannerScratch)
-	defer putPlannerScratch(reg, sc)
-	sc.pl.SetBucketQueue(useBucket)
-	if err := bisectlb.BalanceInto(&sc.plan, sc.pl, k, root, req.N, cfg); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	reg.Histogram(mComputeNs).ObserveSince(start)
-	plan := servePlan(&sc.plan, req, alg, sig)
-	plan.flat = cloneFlat(&sc.plan)
+	if useParallel {
+		reg.Counter(mPlannerPoolParallel).Inc()
+	}
+	// Deep-copy the flat plan out of its pooled scratch buffer, so the
+	// cached served plan can retain it for /v1/rebalance to patch.
+	flat := *fp
+	flat.Parts = append([]bisectlb.FlatPart(nil), fp.Parts...)
+	plan := servePlan(fp, req, alg, sig)
+	plan.flat = &flat
 	return plan, nil
-}
-
-// cloneFlat deep-copies a flat plan out of its pooled scratch buffer, so
-// the cached served plan can retain it for /v1/rebalance to patch.
-func cloneFlat(fp *bisectlb.Plan) *bisectlb.Plan {
-	c := *fp
-	c.Parts = append([]bisectlb.FlatPart(nil), fp.Parts...)
-	return &c
 }
 
 // servePlan maps a flat plan into the served Plan, reconstructing
@@ -214,11 +218,7 @@ func cloneFlat(fp *bisectlb.Plan) *bisectlb.Plan {
 func servePlan(fp *bisectlb.Plan, req *BalanceRequest, alg bisectlb.Algorithm, sig string) *Plan {
 	name := fp.Algorithm
 	if alg == bisectlb.BAHFAlgorithm {
-		kappa := req.Kappa
-		if kappa == 0 {
-			kappa = 1.0
-		}
-		name = fmt.Sprintf("BA-HF(κ=%g)", kappa)
+		name = fmt.Sprintf("BA-HF(κ=%g)", req.Kappa)
 	}
 	plan := &Plan{
 		Algorithm:  name,
@@ -307,9 +307,6 @@ func guaranteeFor(alg bisectlb.Algorithm, alpha, kappa float64, n int) float64 {
 	case bisectlb.BAAlgorithm, bisectlb.ParallelBAAlgorithm:
 		bound, err = bisectlb.GuaranteeBA(alpha, n)
 	case bisectlb.BAHFAlgorithm:
-		if kappa == 0 {
-			kappa = 1
-		}
 		bound, err = bisectlb.GuaranteeBAHF(alpha, kappa)
 	}
 	if err != nil {

@@ -24,7 +24,7 @@ var (
 )
 
 // workerPool executes submitted functions on a fixed number of worker
-// goroutines behind a bounded admission queue. Run blocks the caller
+// goroutines behind a bounded admission queue. RunTenant blocks the caller
 // until its task finishes or the caller's context expires; tasks whose
 // context is already dead when a worker picks them up are skipped, so an
 // abandoned queue entry costs no compute.
@@ -67,18 +67,10 @@ type poolTask struct {
 }
 
 // newWorkerPool starts workers goroutines over a queue of depth slots,
-// of which one tenant may hold at most tenantCap (clamped to
-// [1, depth]; pass depth for no per-tenant bound).
+// of which one tenant may hold at most tenantCap (pass depth for no
+// per-tenant bound). All three arrive defaulted and in range from
+// Config.withDefaults and Config.tenantQueueCap.
 func newWorkerPool(workers, depth, tenantCap int, reg *obs.Registry) *workerPool {
-	if workers < 1 {
-		workers = 1
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	if tenantCap < 1 || tenantCap > depth {
-		tenantCap = depth
-	}
 	p := &workerPool{
 		depth:     depth,
 		tenantCap: tenantCap,
@@ -157,13 +149,6 @@ func (p *workerPool) exec(t *poolTask) {
 		t.executed = true
 	}
 	close(t.done)
-}
-
-// Run admits fn to the anonymous tenant's queue with weight 1 — the
-// single-tenant form of RunTenant, kept for callers that don't
-// partition their work.
-func (p *workerPool) Run(ctx context.Context, fn func()) error {
-	return p.RunTenant(ctx, "", 1, fn)
 }
 
 // RunTenant admits fn to tenant's queue (rejecting with ErrQueueFull

@@ -22,14 +22,14 @@ func TestPoolAdmissionRejection(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.Run(context.Background(), func() { close(running); <-gate })
+		p.RunTenant(context.Background(), "", 1, func() { close(running); <-gate })
 	}()
 	<-running
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Run(context.Background(), func() {})
+			p.RunTenant(context.Background(), "", 1, func() {})
 		}()
 	}
 	// Wait until both fillers are actually queued.
@@ -41,7 +41,7 @@ func TestPoolAdmissionRejection(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	err := p.Run(context.Background(), func() { t.Error("overflow task must not run") })
+	err := p.RunTenant(context.Background(), "", 1, func() { t.Error("overflow task must not run") })
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow Run = %v, want ErrQueueFull", err)
 	}
@@ -66,7 +66,7 @@ func TestPoolSaturationBoundary(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.Run(context.Background(), func() { close(running); <-gate })
+		p.RunTenant(context.Background(), "", 1, func() { close(running); <-gate })
 	}()
 	<-running
 
@@ -76,7 +76,7 @@ func TestPoolSaturationBoundary(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			done <- p.Run(context.Background(), func() {})
+			done <- p.RunTenant(context.Background(), "", 1, func() {})
 		}()
 		deadline := time.Now().Add(5 * time.Second)
 		for p.queuedLen() < i+1 {
@@ -88,7 +88,7 @@ func TestPoolSaturationBoundary(t *testing.T) {
 	}
 
 	// Exactly full: one more must shed.
-	if err := p.Run(context.Background(), func() {}); !errors.Is(err, ErrQueueFull) {
+	if err := p.RunTenant(context.Background(), "", 1, func() {}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow at depth = %v, want ErrQueueFull", err)
 	}
 
@@ -108,7 +108,7 @@ func TestPoolSaturationBoundary(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		done <- p.Run(context.Background(), func() {})
+		done <- p.RunTenant(context.Background(), "", 1, func() {})
 	}()
 
 	wg.Wait()
@@ -253,13 +253,13 @@ func TestPoolDeadlineWhileQueued(t *testing.T) {
 
 	gate := make(chan struct{})
 	running := make(chan struct{})
-	go p.Run(context.Background(), func() { close(running); <-gate })
+	go p.RunTenant(context.Background(), "", 1, func() { close(running); <-gate })
 	<-running
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	executed := make(chan struct{}, 1)
-	err := p.Run(ctx, func() { executed <- struct{}{} })
+	err := p.RunTenant(ctx, "", 1, func() { executed <- struct{}{} })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Run = %v, want DeadlineExceeded", err)
 	}
@@ -285,7 +285,7 @@ func TestPoolRunsQueuedWork(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := p.Run(context.Background(), func() {
+			if err := p.RunTenant(context.Background(), "", 1, func() {
 				mu.Lock()
 				ran++
 				mu.Unlock()
@@ -305,7 +305,7 @@ func TestPoolRunsQueuedWork(t *testing.T) {
 func TestPoolStopRejectsNewWork(t *testing.T) {
 	p := newWorkerPool(1, 1, 1, nil)
 	p.Stop()
-	if err := p.Run(context.Background(), func() {}); !errors.Is(err, ErrDraining) {
+	if err := p.RunTenant(context.Background(), "", 1, func() {}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Run after Stop = %v, want ErrDraining", err)
 	}
 }
@@ -320,7 +320,7 @@ func TestPoolStopDrainsQueue(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.Run(context.Background(), func() { close(running); <-gate })
+		p.RunTenant(context.Background(), "", 1, func() { close(running); <-gate })
 	}()
 	<-running
 	var mu sync.Mutex
@@ -329,7 +329,7 @@ func TestPoolStopDrainsQueue(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Run(context.Background(), func() {
+			p.RunTenant(context.Background(), "", 1, func() {
 				mu.Lock()
 				ran++
 				mu.Unlock()

@@ -2,12 +2,11 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -60,15 +59,13 @@ func (r *RebalanceRequest) base() BalanceRequest {
 	}
 }
 
-// validate rejects requests the patch path cannot serve. Rebalancing
+// validate holds the patch path's own rules, which the check stage runs
+// after the identity fields pass as a balance request's. Rebalancing
 // requires the flat planning substrate (the patch re-bisects subtrees
 // through the kernel), so only the flat families qualify, and the
 // α-band drift rule needs a declared α even for the α-oblivious
 // algorithms.
-func (r *RebalanceRequest) validate(base *BalanceRequest) error {
-	if err := base.validate(); err != nil {
-		return err
-	}
+func (r *RebalanceRequest) validate() error {
 	switch r.Spec.Family {
 	case "uniform", "fixed", "list":
 	default:
@@ -116,17 +113,10 @@ func driftKeySuffix(b []byte, deltas []DriftDelta) []byte {
 	return strconv.AppendUint(b, fnv64a(enc), 16)
 }
 
-// isDriftKey reports whether a cache key names a rebalance result (the
-// drift digest is appended after the balance identity, so a plain
-// Contains would also work; the marker never occurs in a balance key).
-func isDriftKey(key string) bool {
-	for i := 0; i+7 <= len(key); i++ {
-		if key[i:i+7] == "|drift=" {
-			return true
-		}
-	}
-	return false
-}
+// isDriftKey reports whether a cache key names a rebalance result: the
+// drift digest follows the balance identity, and the marker never occurs
+// in a balance key.
+func isDriftKey(key string) bool { return strings.Contains(key, "|drift=") }
 
 // deltaScratch pools a DeltaPlanner with its PatchedPlan buffer, the
 // rebalance analogue of plannerScratch.
@@ -143,12 +133,7 @@ const maxPooledDeltaFootprint = 16 << 20
 
 func putDeltaScratch(reg *obs.Registry, sc *deltaScratch) {
 	sc.dp.SetParallel(nil) // never retain a borrowed parallel planner
-	if cap(sc.pp.Plan.Parts) > maxPooledPartsCap || sc.dp.Footprint() > maxPooledDeltaFootprint {
-		reg.Counter(mPlannerPoolDrops).Inc()
-		return
-	}
-	reg.Counter(mPlannerPoolPuts).Inc()
-	deltaPool.Put(sc)
+	recycle(reg, &deltaPool, sc, cap(sc.pp.Plan.Parts) > maxPooledPartsCap || sc.dp.Footprint() > maxPooledDeltaFootprint)
 }
 
 // RebalanceInfo is the patch certificate attached to a rebalanced plan:
@@ -181,249 +166,135 @@ type RebalanceInfo struct {
 	PriorComputed bool `json:"prior_computed"`
 }
 
-// RebalanceResponse wraps a rebalanced plan with serving metadata,
-// mirroring BalanceResponse.
-type RebalanceResponse struct {
-	Plan
-	Cached    bool `json:"cached"`
-	Coalesced bool `json:"coalesced,omitempty"`
-}
+// RebalanceResponse is the body of a 200 rebalance response: the
+// rebalanced plan, certificate attached, with the same serving metadata
+// as a balance response.
+type RebalanceResponse = BalanceResponse
 
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(mRequests).Inc()
 	s.reg.Counter(mRebalanceRequests).Inc()
-	s.reg.Gauge(mInflight).Add(1)
-	defer s.reg.Gauge(mInflight).Add(-1)
 	start := time.Now()
-	defer s.reg.Histogram(mLatencyNs).ObserveSince(start)
-
-	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if s.draining.Load() {
-		s.reg.Counter(mRejectedDraining).Inc()
-		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-
 	var req RebalanceRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	if err := s.decode(w, r, &req); err != nil {
+		s.fail(w, err)
 		return
 	}
-	base := req.base()
-	base.normalize()
-	req.Spec = base.Spec
-	req.Algorithm = base.Algorithm
-	if err := req.validate(&base); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_spec", err.Error())
-		return
-	}
-	if req.N > s.cfg.MaxN {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "n_too_large",
-			fmt.Sprintf("n=%d exceeds the server's max_n limit %d", req.N, s.cfg.MaxN))
-		return
-	}
-	alg, err := bisectlb.ParseAlgorithm(req.Algorithm)
+	base, alg, err := s.checkRebalance(&req)
 	if err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "unknown_algorithm", err.Error())
+		s.fail(w, err)
 		return
 	}
-	if _, _, ok := flatInputs(&base, alg); !ok {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "rebalance_unsupported",
-			fmt.Sprintf("algorithm %q has no flat patch path", req.Algorithm))
-		return
-	}
-
 	// Canonical identities: the prior plan's key (what /v1/balance would
 	// cache) and the drift key extending it with the delta digest.
-	kb := s.keyBufs.Get().(*[]byte)
-	keyBytes := base.appendKey((*kb)[:0])
-	baseKey := string(keyBytes)
-	keyBytes = driftKeySuffix(keyBytes, req.Deltas)
-	plan, hit := s.cache.GetBytes(keyBytes)
-	key := ""
-	if !hit {
-		key = string(keyBytes)
-	}
-	*kb = keyBytes
-	s.keyBufs.Put(kb)
-
-	if req.PriorSignature != "" && req.PriorSignature != signature(baseKey) {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "prior_mismatch",
-			fmt.Sprintf("prior_signature %q does not match this spec's plan signature %q",
-				req.PriorSignature, signature(baseKey)))
+	baseKey := base.cacheKey()
+	if sig := signature(baseKey); req.PriorSignature != "" && req.PriorSignature != sig {
+		s.fail(w, badRequest("prior_mismatch", fmt.Sprintf(
+			"prior_signature %q does not match this spec's plan signature %q", req.PriorSignature, sig)))
 		return
 	}
-
-	tn := s.tenants.state(tenantID(r, s.cfg.TenantHeader, req.Tenant))
-	tn.requests.Inc()
-	if hit {
-		s.respondRebalance(w, RebalanceResponse{Plan: *plan, Cached: true}, "hit")
-		s.observeAdmitted(tn, start)
-		return
-	}
-
-	// Compute path: same overload protection as /v1/balance.
-	if !s.tenants.allowToken(tn, start) {
-		tn.shed.Inc()
-		s.reg.Counter(mRejectedTenant).Inc()
-		s.reject(w, http.StatusTooManyRequests, "tenant_rate_limited",
-			fmt.Sprintf("tenant %q exceeded its compute rate", tn.id))
-		return
-	}
-	if !s.adm.allow(start) {
-		tn.shed.Inc()
-		s.reg.Counter(mRejectedShed).Inc()
-		s.reject(w, http.StatusTooManyRequests, "slo_shed",
-			"service is over its latency SLO; load is being shed")
-		return
-	}
-	hash := fnv64aString(key)
-
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
-	computeLocal := func() (*Plan, error) {
-		var (
-			p    *Plan
-			cerr error
-		)
-		rerr := s.pool.RunTenant(ctx, tn.id, tn.weight, func() {
-			if s.cfg.Hooks.PreCompute != nil {
-				s.cfg.Hooks.PreCompute()
-			}
-			p, cerr = s.computeRebalance(&req, &base, alg, baseKey, key)
-			if cerr == nil {
-				s.cache.Put(key, p)
-			}
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return p, cerr
-	}
-
-	// Cluster mode composes exactly as on the balance path: the drift key
-	// hashes to an owner, a remotely-owned miss ships the full rebalance
-	// request to it (ClusterFill routes drift keys back here), and an
-	// unreachable owner fails over to local computation.
-	fill := computeLocal
-	cacheState := "miss"
-	if pc := s.cluster; pc != nil {
-		if _, self := pc.Owner(hash); !self {
-			fill = func() (*Plan, error) {
-				body, merr := json.Marshal(&req)
-				if merr != nil {
-					return nil, merr
-				}
-				raw, peerCached, ferr := pc.Fetch(ctx, key, hash, body)
-				if ferr != nil {
-					s.reg.Counter(mClusterFailover).Inc()
-					return computeLocal()
-				}
-				var p Plan
-				if uerr := json.Unmarshal(raw, &p); uerr != nil {
-					return nil, fmt.Errorf("service: owner returned an undecodable plan for %q: %w", key, uerr)
-				}
-				s.reg.Counter(mClusterProxied).Inc()
-				s.cache.Put(key, &p)
-				s.reg.Counter(mClusterPeerPlans).Inc()
-				if peerCached {
-					cacheState = "peer-hit"
-				} else {
-					cacheState = "peer-miss"
-				}
-				return &p, nil
-			}
-		} else {
-			pc.Touch(key, hash)
-		}
-	}
-
-	plan, shared, err := s.sf.Do(ctx, key, fill)
-	if shared {
-		s.reg.Counter(mCoalesced).Inc()
-	}
-	if err != nil {
-		s.rejectRebalanceError(w, err)
-		return
-	}
-	s.respondRebalance(w, RebalanceResponse{Plan: *plan, Cached: cacheState == "peer-hit", Coalesced: shared}, cacheState)
-	s.observeAdmitted(tn, start)
+	driftKey := func(b []byte) []byte { return driftKeySuffix(append(b, baseKey...), req.Deltas) }
+	s.serveOne(w, r, start, req.Tenant, req.DeadlineMS, driftKey, func(key string) *fill {
+		return s.rebalanceFill(&req, &base, alg, baseKey, key)
+	})
 }
 
-// computeRebalance fetches or recomputes the flat prior plan and patches
-// it against the drift vector. Runs on a worker; callers cache the
-// result under the drift key.
-func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, alg bisectlb.Algorithm, baseKey, driftKey string) (*Plan, error) {
-	root, k, ok := flatInputs(base, alg)
-	if !ok {
-		return nil, fmt.Errorf("service: no flat inputs for family %q", req.Spec.Family)
+// checkRebalance is the check stage for a rebalance body, on the HTTP
+// path and the peer fill alike: the identity fields are checked as a
+// balance request's plus the patch path's own rules, and the family and
+// algorithm must have a flat form to patch. It returns the normalized
+// identity as a balance request.
+func (s *Server) checkRebalance(req *RebalanceRequest) (BalanceRequest, bisectlb.Algorithm, error) {
+	base := req.base()
+	alg, err := s.check(&base, req.validate)
+	if err != nil {
+		return base, alg, err
 	}
+	req.Spec, req.Algorithm = base.Spec, base.Algorithm
+	if _, _, ok := flatInputs(&base, alg); !ok {
+		return base, alg, badRequest("rebalance_unsupported",
+			fmt.Sprintf("algorithm %q has no flat patch path", req.Algorithm))
+	}
+	return base, alg, nil
+}
 
-	// Fetch-or-compute the prior. A cached served plan carries its flat
-	// form only if it was computed on this node (the attachment does not
-	// survive JSON), so a peer-fetched or evicted prior is recomputed —
-	// counted, because it erases the patch's latency advantage.
-	priorComputed := false
-	var priorServed *Plan
-	if p, hit := s.cache.Get(baseKey); hit && p.flat != nil {
-		priorServed = p
-	} else {
-		fresh, err := computePlan(base, alg, signature(baseKey), s.reg)
-		if err != nil {
-			return nil, err
-		}
-		if fresh.flat == nil {
-			return nil, fmt.Errorf("service: family %q produced no flat plan to patch", req.Spec.Family)
-		}
-		s.cache.Put(baseKey, fresh)
-		s.reg.Counter(mRebalancePriorComputed).Inc()
-		priorComputed = true
-		priorServed = fresh
+// rebalanceFill fills a drift key with the patch. A drift key hashes to
+// its own ring owner, so a routed miss ships the whole rebalance request
+// there (ClusterFill routes drift keys back to this fill). The prior is
+// resolved in the prepare step, before the patch takes a worker.
+func (s *Server) rebalanceFill(req *RebalanceRequest, base *BalanceRequest, alg bisectlb.Algorithm, baseKey, key string) *fill {
+	var (
+		prior         *Plan
+		priorComputed bool
+	)
+	return &fill{
+		key:  key,
+		body: req,
+		prepare: func(ctx context.Context, tn *tenantState) (err error) {
+			prior, priorComputed, err = s.resolvePrior(ctx, tn, base, alg, baseKey)
+			return err
+		},
+		compute: func() (*Plan, error) {
+			return s.patch(req, base, alg, prior, priorComputed, signature(key))
+		},
 	}
-	prior := priorServed.flat
+}
+
+// resolvePrior returns the prior plan a rebalance patches, in its flat
+// form, and whether it had to be filled rather than read from the cache.
+// It goes through the same get-or-fill as /v1/balance on the base key,
+// so a rebalance and a balance racing on a cold prior plan it once. The
+// fill never routes: a plan fetched from a peer has no flat form (the
+// attachment does not survive JSON), so a prior whose base key another
+// node owns is recomputed here — counted, because it erases the patch's
+// latency advantage. It runs before the patch takes a worker, so a
+// rebalance never holds a worker while it waits on a flight of its prior
+// that is still queued behind it.
+func (s *Server) resolvePrior(ctx context.Context, tn *tenantState, base *BalanceRequest, alg bisectlb.Algorithm, baseKey string) (*Plan, bool, error) {
+	if p, ok := s.cache.Get(baseKey); ok && p.flat != nil {
+		return p, false, nil
+	}
+	s.reg.Counter(mRebalancePriorComputed).Inc()
+	f := s.planFill(base, alg, baseKey)
+	f.flat = true
+	for {
+		p, _, shared, err := s.getOrFill(ctx, tn, f)
+		if err != nil {
+			return nil, true, err
+		}
+		if p.flat != nil {
+			return p, true, nil
+		}
+		if !shared {
+			return nil, true, fmt.Errorf("service: family %q produced no flat plan to patch", base.Spec.Family)
+		}
+		// Coalesced onto a peer fetch of the same key, whose plan has no
+		// flat form: fill again.
+	}
+}
+
+// patch patches the flat prior plan against the drift vector. Runs on a
+// worker; get-or-fill caches the result under the drift key.
+func (s *Server) patch(req *RebalanceRequest, base *BalanceRequest, alg bisectlb.Algorithm, prior *Plan, priorComputed bool, sig string) (*Plan, error) {
+	root, k, _ := flatInputs(base, alg) // checkRebalance admits only requests that have them
 
 	deltas := make([]bisectlb.WeightDelta, len(req.Deltas))
 	for i, d := range req.Deltas {
 		deltas[i] = bisectlb.WeightDelta{ID: d.ID, Factor: d.Factor}
 	}
-	kappa := req.Kappa
-	if kappa == 0 {
-		kappa = 1
-	}
-	opt := bisectlb.PatchOptions{Alpha: req.Alpha, Kappa: kappa}
+	opt := bisectlb.PatchOptions{Alpha: base.Alpha, Kappa: base.Kappa}
 
+	useBucket := req.N >= bucketQueueNCutoff
 	sc := deltaPool.Get().(*deltaScratch)
 	defer putDeltaScratch(s.reg, sc)
-	sc.dp.SetBucketQueue(req.N >= bucketQueueNCutoff)
-	var psc *parallelScratch
+	sc.dp.SetBucketQueue(useBucket)
 	if req.N >= parallelNCutoff {
-		psc = parallelPool.Get().(*parallelScratch)
+		psc := newParallelScratch(s.reg, useBucket)
 		defer putParallelScratch(s.reg, psc)
-		psc.pp.SetMetrics(s.reg)
-		psc.pp.SetBucketQueue(req.N >= bucketQueueNCutoff)
 		sc.dp.SetParallel(psc.pp)
-	} else {
-		sc.dp.SetParallel(nil)
 	}
 
 	start := time.Now()
-	_, stats, err := sc.dp.PatchInto(&sc.pp, k, root, prior, deltas, opt)
+	_, stats, err := sc.dp.PatchInto(&sc.pp, k, root, prior.flat, deltas, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -440,27 +311,24 @@ func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, a
 	if stats.DriftedTotal > 0 {
 		info.DirtyWeightFrac = stats.DirtyWeight / stats.DriftedTotal
 	}
-	sig := signature(driftKey)
 
+	var out *Plan
 	switch stats.Outcome {
 	case bisectlb.PatchNoop:
 		s.reg.Counter(mRebalanceNoop).Inc()
 		// The prior plan is still within the band: serve it unchanged
 		// (parts shared by reference — served plans are immutable) under
-		// the drift signature, certificate attached.
-		out := *priorServed
-		out.flat = nil
-		out.Signature = sig
-		out.Rebalance = info
-		return &out, nil
+		// the drift signature.
+		noop := *prior
+		noop.flat = nil
+		noop.Signature = sig
+		out = &noop
 	case bisectlb.PatchFullReplan:
 		s.reg.Counter(mRebalanceFullReplans).Inc()
-		out := servePlan(&sc.pp.Plan, base, alg, sig)
-		out.Rebalance = info
-		return out, nil
+		out = servePlan(&sc.pp.Plan, base, alg, sig)
 	default:
 		s.reg.Counter(mRebalancePatched).Inc()
-		out := servePlan(&sc.pp.Plan, base, alg, sig)
+		out = servePlan(&sc.pp.Plan, base, alg, sig)
 		out.Algorithm = sc.pp.Plan.Algorithm // keep the "+patch" display name
 		info.GroupProcs = make([]int, len(sc.pp.GroupProcs))
 		for i, p := range sc.pp.GroupProcs {
@@ -469,79 +337,7 @@ func (s *Server) computeRebalance(req *RebalanceRequest, base *BalanceRequest, a
 		for i := range out.Parts {
 			out.Parts[i].Group = int(sc.pp.Group[i])
 		}
-		out.Rebalance = info
-		return out, nil
 	}
-}
-
-// rejectRebalanceError extends the shared compute-error mapping with the
-// patch path's typed errors.
-func (s *Server) rejectRebalanceError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, bisectlb.ErrUnknownPart):
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "unknown_part", err.Error())
-	case errors.Is(err, bisectlb.ErrBadFactor):
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_delta", err.Error())
-	case errors.Is(err, bisectlb.ErrPlanMismatch):
-		s.reg.Counter(mInternalErrors).Inc()
-		s.reject(w, http.StatusInternalServerError, "internal", err.Error())
-	default:
-		s.rejectComputeError(w, err)
-	}
-}
-
-func (s *Server) respondRebalance(w http.ResponseWriter, resp RebalanceResponse, cacheState string) {
-	s.reg.Counter(mOK).Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Lbserve-Cache", cacheState)
-	json.NewEncoder(w).Encode(resp)
-}
-
-// clusterFillRebalance is the owner-side fill for a proxied drift key:
-// ClusterFill routes keys carrying the "|drift=" marker here, so peer
-// traffic patches through the same pool and singleflight as local
-// rebalance requests.
-func (s *Server) clusterFillRebalance(ctx context.Context, key string, body []byte) ([]byte, bool, error) {
-	var req RebalanceRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, false, fmt.Errorf("service: peer rebalance body: %w", err)
-	}
-	base := req.base()
-	base.normalize()
-	req.Spec = base.Spec
-	req.Algorithm = base.Algorithm
-	if err := req.validate(&base); err != nil {
-		return nil, false, err
-	}
-	if req.N > s.cfg.MaxN {
-		return nil, false, fmt.Errorf("service: peer fill n=%d exceeds max_n %d", req.N, s.cfg.MaxN)
-	}
-	alg, err := bisectlb.ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		return nil, false, err
-	}
-	baseKey := base.cacheKey()
-	plan, _, err := s.sf.Do(ctx, key, func() (*Plan, error) {
-		var (
-			p    *Plan
-			cerr error
-		)
-		rerr := s.pool.Run(ctx, func() {
-			p, cerr = s.computeRebalance(&req, &base, alg, baseKey, key)
-			if cerr == nil {
-				s.cache.Put(key, p)
-			}
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return p, cerr
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	raw, err := json.Marshal(plan)
-	return raw, false, err
+	out.Rebalance = info
+	return out, nil
 }

@@ -3,17 +3,13 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bisectlb"
 	"bisectlb/internal/obs"
 )
 
@@ -93,8 +89,9 @@ type Config struct {
 // Hooks expose deterministic test seams into the serving path.
 type Hooks struct {
 	// PreCompute, when set, runs at the start of every pool-executed
-	// computation. Tests use it to hold a request in flight across a
-	// Shutdown or to fill the pool deterministically.
+	// computation — the pipeline's local fill, whichever entry point or
+	// peer fill asked for it. Tests use it to hold a request in flight
+	// across a Shutdown or to fill the pool deterministically.
 	PreCompute func()
 }
 
@@ -208,9 +205,9 @@ func New(cfg Config) *Server {
 	s.adm = newAdmission(cfg.TargetP99, cfg.SLOTolerance, cfg.SLOTick, cfg.SLOEpochs,
 		cfg.Registry.Histogram(mAdmittedLatencyNs), cfg.Registry)
 	s.keyBufs.New = func() any { b := make([]byte, 0, 128); return &b }
-	s.mux.HandleFunc("/v1/balance", s.handleBalance)
-	s.mux.HandleFunc("/v1/balance:batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/rebalance", s.handleRebalance)
+	s.mux.HandleFunc("/v1/balance", s.track(s.handleBalance))
+	s.mux.HandleFunc("/v1/balance:batch", s.track(s.handleBatch))
+	s.mux.HandleFunc("/v1/rebalance", s.track(s.handleRebalance))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metricz", s.handleMetricz)
 	return s
@@ -280,29 +277,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// errorBody is the typed rejection envelope of every non-200 response.
-type errorBody struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-func (s *Server) reject(w http.ResponseWriter, status int, code, msg string) {
-	var body errorBody
-	body.Error.Code = code
-	body.Error.Message = msg
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusTooManyRequests {
-		// Every 429 tells the client when to come back, derived from the
-		// shed state and queue backlog (admission.go retryAfterSecs).
-		secs := retryAfterSecs(s.adm.admitFrac(), s.pool.queuedLen(), s.cfg.Workers)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ok", http.StatusOK
 	if s.draining.Load() {
@@ -341,211 +315,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	s.reg.WriteJSON(w)
-}
-
-func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(mRequests).Inc()
-	s.reg.Gauge(mInflight).Add(1)
-	defer s.reg.Gauge(mInflight).Add(-1)
-	start := time.Now()
-	defer s.reg.Histogram(mLatencyNs).ObserveSince(start)
-
-	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
-	if s.draining.Load() {
-		s.reg.Counter(mRejectedDraining).Inc()
-		s.reject(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-
-	var req BalanceRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
-		return
-	}
-	req.normalize()
-	if err := req.validate(); err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "bad_spec", err.Error())
-		return
-	}
-	if req.N > s.cfg.MaxN {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "n_too_large",
-			fmt.Sprintf("n=%d exceeds the server's max_n limit %d", req.N, s.cfg.MaxN))
-		return
-	}
-	alg, err := bisectlb.ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		s.reg.Counter(mBadRequest).Inc()
-		s.reject(w, http.StatusBadRequest, "unknown_algorithm", err.Error())
-		return
-	}
-	tn := s.tenants.state(tenantID(r, s.cfg.TenantHeader, req.Tenant))
-	tn.requests.Inc()
-
-	// Canonicalise into a pooled buffer and look up by bytes: the common
-	// cache-hit path allocates neither the key string nor the signature
-	// (the cached plan already carries its signature). The tenant id is
-	// deliberately not part of the key — plans are tenant-independent
-	// facts, so tenants share each other's warm cache.
-	kb := s.keyBufs.Get().(*[]byte)
-	keyBytes := req.appendKey((*kb)[:0])
-	plan, hit := s.cache.GetBytes(keyBytes)
-	key := ""
-	if !hit {
-		key = string(keyBytes)
-	}
-	*kb = keyBytes
-	s.keyBufs.Put(kb)
-	if hit {
-		s.respondPlan(w, BalanceResponse{Plan: *plan, Cached: true}, "hit")
-		s.observeAdmitted(tn, start)
-		return
-	}
-
-	// Only the compute path is subject to overload protection: a cache
-	// hit costs no worker, so shedding it would only burn goodput.
-	if !s.tenants.allowToken(tn, start) {
-		tn.shed.Inc()
-		s.reg.Counter(mRejectedTenant).Inc()
-		s.reject(w, http.StatusTooManyRequests, "tenant_rate_limited",
-			fmt.Sprintf("tenant %q exceeded its compute rate", tn.id))
-		return
-	}
-	if !s.adm.allow(start) {
-		tn.shed.Inc()
-		s.reg.Counter(mRejectedShed).Inc()
-		s.reject(w, http.StatusTooManyRequests, "slo_shed",
-			"service is over its latency SLO; load is being shed")
-		return
-	}
-	hash := fnv64aString(key)
-	sig := strconv.FormatUint(hash, 16)
-
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
-	computeLocal := func() (*Plan, error) {
-		var (
-			p    *Plan
-			cerr error
-		)
-		rerr := s.pool.RunTenant(ctx, tn.id, tn.weight, func() {
-			if s.cfg.Hooks.PreCompute != nil {
-				s.cfg.Hooks.PreCompute()
-			}
-			p, cerr = computePlan(&req, alg, sig, s.reg)
-			if cerr == nil {
-				s.cache.Put(key, p)
-			}
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return p, cerr
-	}
-
-	// In cluster mode a miss on a remotely-owned key is proxied to its
-	// owner instead of computed here, so the per-node singleflight
-	// composes into one planner execution per key cluster-wide. The
-	// owner being unreachable is the failover path: compute locally and
-	// keep serving. cacheState is written only by the singleflight
-	// leader (followers report a plain coalesced miss), and sf.Do's
-	// internal synchronisation orders that write before any return.
-	fill := computeLocal
-	cacheState := "miss"
-	if pc := s.cluster; pc != nil {
-		if _, self := pc.Owner(hash); !self {
-			fill = func() (*Plan, error) {
-				p, peerCached, ferr := s.clusterFetch(ctx, pc, key, hash, &req)
-				if ferr != nil {
-					s.reg.Counter(mClusterFailover).Inc()
-					return computeLocal()
-				}
-				if peerCached {
-					cacheState = "peer-hit"
-				} else {
-					cacheState = "peer-miss"
-				}
-				return p, nil
-			}
-		} else {
-			pc.Touch(key, hash)
-		}
-	}
-
-	plan, shared, err := s.sf.Do(ctx, key, fill)
-	if shared {
-		s.reg.Counter(mCoalesced).Inc()
-	}
-	if err != nil {
-		s.rejectComputeError(w, err)
-		return
-	}
-	s.respondPlan(w, BalanceResponse{Plan: *plan, Cached: cacheState == "peer-hit", Coalesced: shared}, cacheState)
-	s.observeAdmitted(tn, start)
-}
-
-// observeAdmitted records a successful (200) request's latency into the
-// controller's steering histogram and the tenant's.
-func (s *Server) observeAdmitted(tn *tenantState, start time.Time) {
-	lat := int64(time.Since(start))
-	s.reg.Histogram(mAdmittedLatencyNs).Observe(lat)
-	tn.ok.Inc()
-	tn.latency.Observe(lat)
-}
-
-// classifyComputeError maps an admission, deadline or facade error to the
-// HTTP status, error code, rejection counter and client message used for
-// it everywhere — single requests reject with it, batch items embed it.
-func classifyComputeError(err error) (status int, code, metric, msg string) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests, "queue_full", mRejectedQueueFull, err.Error()
-	case errors.Is(err, ErrTenantQueueFull):
-		return http.StatusTooManyRequests, "tenant_queue_full", mRejectedTenantQ, err.Error()
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable, "draining", mRejectedDraining, err.Error()
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, "deadline_exceeded", mDeadlineExceeded,
-			"request deadline expired before the plan was computed"
-	case errors.Is(err, bisectlb.ErrAlphaRequired):
-		return http.StatusBadRequest, "alpha_required", mBadRequest, err.Error()
-	case errors.Is(err, bisectlb.ErrBadAlpha):
-		return http.StatusBadRequest, "bad_alpha", mBadRequest, err.Error()
-	case errors.Is(err, bisectlb.ErrBadKappa):
-		return http.StatusBadRequest, "bad_kappa", mBadRequest, err.Error()
-	case errors.Is(err, bisectlb.ErrBadN):
-		return http.StatusBadRequest, "bad_n", mBadRequest, err.Error()
-	case errors.Is(err, bisectlb.ErrNilProblem), errors.Is(err, bisectlb.ErrUnknownAlgorithm):
-		return http.StatusBadRequest, "bad_request", mBadRequest, err.Error()
-	default:
-		return http.StatusInternalServerError, "internal", mInternalErrors,
-			fmt.Sprintf("balance failed: %v", err)
-	}
-}
-
-// rejectComputeError maps admission, deadline and facade errors to typed
-// HTTP rejections.
-func (s *Server) rejectComputeError(w http.ResponseWriter, err error) {
-	status, code, metric, msg := classifyComputeError(err)
-	s.reg.Counter(metric).Inc()
-	s.reject(w, status, code, msg)
-}
-
-func (s *Server) respondPlan(w http.ResponseWriter, resp BalanceResponse, cacheState string) {
-	s.reg.Counter(mOK).Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Lbserve-Cache", cacheState)
-	json.NewEncoder(w).Encode(resp)
 }

@@ -46,7 +46,8 @@ type BalanceRequest struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// Alpha is the declared class α, required by PHF and BA-HF.
 	Alpha float64 `json:"alpha,omitempty"`
-	// Kappa is BA-HF's threshold parameter (0 means 1.0).
+	// Kappa is BA-HF's threshold parameter (0 means 1.0; normalize
+	// writes the default in, so the planning code never re-derives it).
 	Kappa float64 `json:"kappa,omitempty"`
 	// DeadlineMS caps the request's time in queue + compute; 0 uses the
 	// server default.
@@ -62,6 +63,9 @@ type BalanceRequest struct {
 func (r *BalanceRequest) normalize() {
 	if r.Algorithm == "" {
 		r.Algorithm = "HF"
+	}
+	if r.Kappa == 0 {
+		r.Kappa = 1 // Balance's BA-HF default
 	}
 	switch r.Spec.Family {
 	case "uniform", "fixed":
@@ -240,31 +244,17 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnv64a(b []byte) uint64 {
+func fnv64a[K string | []byte](key K) uint64 {
 	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func fnv64aString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
 		h *= fnvPrime64
 	}
 	return h
 }
 
 // signature condenses a cache key into the short hex form reported in
-// plans and logs. It equals FNV-1a of the key, matching signatureBytes.
-func signature(key string) string {
-	return strconv.FormatUint(fnv64aString(key), 16)
-}
-
-// signatureBytes is signature for a byte-slice key.
-func signatureBytes(key []byte) string {
+// plans and logs: FNV-1a of the key, in hex.
+func signature[K string | []byte](key K) string {
 	return strconv.FormatUint(fnv64a(key), 16)
 }

@@ -50,8 +50,8 @@ func TestAppendKeyAllocationFree(t *testing.T) {
 		}
 	}
 	key := reqs[0].appendKey(nil)
-	if a := testing.AllocsPerRun(100, func() { _ = signatureBytes(key) }); a > 1 {
-		t.Errorf("signatureBytes allocates %v/op, want ≤ 1", a)
+	if a := testing.AllocsPerRun(100, func() { _ = signature(key) }); a > 1 {
+		t.Errorf("signature allocates %v/op, want ≤ 1", a)
 	}
 }
 
@@ -60,8 +60,8 @@ func TestAppendKeyAllocationFree(t *testing.T) {
 func TestSignatureFormsAgree(t *testing.T) {
 	req := BalanceRequest{Spec: ProblemSpec{Family: "fixed", Weight: 1, SplitAlpha: 0.4}, N: 8, Algorithm: "BA"}
 	key := req.cacheKey()
-	if signature(key) != signatureBytes([]byte(key)) {
-		t.Fatal("signature and signatureBytes disagree")
+	if signature(key) != signature([]byte(key)) {
+		t.Fatal("string and byte signatures disagree")
 	}
 	if signature(key) == "" {
 		t.Fatal("empty signature")
